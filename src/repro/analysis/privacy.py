@@ -16,17 +16,16 @@ Two levels are verified:
    ``w`` with probability ``2^-(L-m) * q(m, r)``, where ``r`` counts the
    support positions where ``w`` disagrees with the input and
 
-       ``q(m, r) = sum_{j=0}^{k-m} C(k-m, j) * Pr[ ||R~(1^k) - 1^k||_0 = r + j -
-       distance contribution ]``
+       ``q(m, r) = sum_{j=0}^{k-m} C(k-m, j) * Pr[R~(1^k) = s]``, ``||s - 1^k||_0 = r + j``
 
    — precisely the ``Pr[b~ in G]`` computation of Section 5.4.  The worst-case
    ratio over *all* k-sparse inputs and outputs is therefore
 
        ``max_{m,r} 2^m q(m, r)  /  min_{m,r} 2^m q(m, r)``,
 
-   independent of ``L``.  :func:`client_report_log_ratio` evaluates this in
-   O(k^2) exactly; the brute-force enumerators below cross-validate it on
-   small instances.
+   independent of ``L``.  :func:`client_report_log_ratio` evaluates it exactly
+   in O(k^2) by Pascal's recurrence ``q(m, r) = q(m+1, r) + q(m+1, r+1)``;
+   the brute-force enumerators below cross-validate it on small instances.
 """
 
 from __future__ import annotations
@@ -83,9 +82,9 @@ def support_pattern_log_prob(law: AnnulusLaw, m: int, r: int) -> float:
 def client_report_log_ratio(law: AnnulusLaw, *, max_support: int | None = None) -> float:
     """Return the exact log privacy ratio of the full FutureRand client report.
 
-    Maximizes/minimizes ``m * ln 2 + ln q(m, r)`` over support sizes
-    ``m in [0 .. max_support]`` (default ``k``) and disagreement counts
-    ``r in [0 .. m]``.  Theorem 4.5 promises the result is at most ``epsilon``.
+    Maximizes/minimizes ``m ln 2 + ln q(m, r)`` over ``m in [0 .. max_support]``
+    (default ``k``) and ``r in [0 .. m]``, walking the recurrence down from the
+    pointwise law ``q(k, .)`` in O(k^2).  Theorem 4.5 promises at most ``epsilon``.
 
     The ``2^m`` factor arises because an input with support ``m`` spreads
     ``2^-(L-m)`` of uniform mass over its zero coordinates; the ``L``-dependent
@@ -95,14 +94,15 @@ def client_report_log_ratio(law: AnnulusLaw, *, max_support: int | None = None) 
     top = max_support if max_support is not None else k
     if not 0 <= top <= k:
         raise ValueError(f"max_support must be in [0, k={k}], got {top}")
-    best_high = LOG_ZERO
-    best_low = math.inf
-    for m in range(top + 1):
-        for r in range(m + 1):
-            value = m * math.log(2.0) + support_pattern_log_prob(law, m, r)
-            best_high = max(best_high, value)
-            best_low = min(best_low, value)
-    return best_high - best_low
+    row = np.full(k + 1, law.log_p_out)
+    row[law.lo : law.hi + 1] = law.log_g(np.arange(law.lo, law.hi + 1))
+    best_high, best_low = LOG_ZERO, math.inf
+    for m in range(k, -1, -1):
+        if m <= top:
+            best_high = max(best_high, m * math.log(2.0) + row.max())
+            best_low = min(best_low, m * math.log(2.0) + row.min())
+        row = np.logaddexp(row[:-1], row[1:])
+    return float(best_high - best_low)
 
 
 # ----------------------------------------------------------------------

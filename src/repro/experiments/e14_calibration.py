@@ -23,9 +23,9 @@ from repro.workloads.generators import BoundedChangePopulation
 
 _SCALES = {
     "small": {"ks": [1, 4, 16, 64], "eps": 1.0, "n": 4000, "d": 64, "proto_k": 4, "trials": 4},
-    # k is capped at 256: the exact client-ratio check inside the bisection
-    # is O(k^3), which stays under a minute at 256 but not beyond.
-    "full": {"ks": [1, 2, 4, 8, 16, 64, 256], "eps": 1.0, "n": 20000, "d": 256, "proto_k": 8, "trials": 6},
+    # The exact client-ratio check inside the bisection is O(k^2) (Pascal's
+    # recurrence), so even k=1024 calibrates in well under a second.
+    "full": {"ks": [1, 2, 4, 8, 16, 64, 256, 1024], "eps": 1.0, "n": 20000, "d": 256, "proto_k": 8, "trials": 6},
 }
 
 

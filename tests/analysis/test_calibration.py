@@ -17,8 +17,27 @@ from repro.analysis.privacy import client_report_log_ratio
 from repro.core.annulus import AnnulusLaw
 
 
+#: calibration_multiplier(k, eps) with the client ratio evaluated cell by cell
+#: (the oracle in test_privacy.py); the recurrence must reproduce them exactly.
+_PINNED_MULTIPLIERS = {
+    (1, 0.25): 5.0,
+    (2, 0.25): 5.38671875,
+    (4, 0.25): 3.9609375,
+    (8, 0.25): 2.9228515625,
+    (16, 0.25): 2.15234375,
+    (32, 0.25): 2.1865234375,
+    (64, 0.25): 2.12109375,
+    (1, 1.0): 5.0,
+    (2, 1.0): 5.6396484375,
+    (4, 1.0): 4.056640625,
+    (8, 1.0): 2.9599609375,
+    (16, 1.0): 2.1669921875,
+    (32, 1.0): 2.201171875,
+    (64, 1.0): 2.134765625,
+}
+
+
 class TestMultiplier:
-    @pytest.mark.slow
     @pytest.mark.parametrize("k", [1, 2, 4, 16, 64, 256])
     @pytest.mark.parametrize("epsilon", [0.25, 1.0])
     def test_calibrated_law_stays_private(self, k, epsilon):
@@ -32,10 +51,13 @@ class TestMultiplier:
         refined = calibrated_law(k, 1.0)
         assert refined.c_gap > 1.5 * paper.c_gap
 
-    @pytest.mark.slow
     def test_multiplier_at_least_one(self):
         for k in (1, 8, 128):
             assert calibration_multiplier(k, 1.0) >= 1.0
+
+    @pytest.mark.parametrize(("k", "epsilon"), sorted(_PINNED_MULTIPLIERS))
+    def test_pinned_multipliers(self, k, epsilon):
+        assert calibration_multiplier(k, epsilon) == _PINNED_MULTIPLIERS[k, epsilon]
 
     def test_k_one_recovers_basic_randomizer(self):
         """At k=1 the optimal budget is the full epsilon: c_gap = tanh(eps/2)."""
