@@ -24,9 +24,9 @@ import numpy as np
 __all__ = ["DEFAULT_BLOCK_ROWS", "plan_row_blocks", "iter_row_groups"]
 
 #: Users per randomness block.  Chosen so one block's transient working set
-#: (float64 scores + argsort indices during sampling, report matrices during
-#: randomization) stays in the tens of megabytes even at d=1024, while numpy
-#: kernels still amortize their per-call overhead.
+#: (float64 scores during sampling, report matrices during randomization)
+#: stays in the tens of megabytes even at d=1024, while numpy kernels still
+#: amortize their per-call overhead.
 DEFAULT_BLOCK_ROWS = 8192
 
 
@@ -57,8 +57,10 @@ def iter_row_groups(
 
     Rows are passed through in order, none dropped or duplicated; the final
     group may be short.  Slices that fall inside one incoming chunk are
-    yielded as views (no copy); only groups spanning a chunk boundary are
-    concatenated.
+    yielded as views (no copy).  A group spanning a chunk boundary is copied
+    into one group-sized buffer as its pieces arrive, so each incoming chunk
+    is released once copied instead of being held until the group is full
+    (chunks share one dtype and row shape).
 
     >>> parts = [np.arange(5), np.arange(5, 7), np.arange(7, 12)]
     >>> [group.tolist() for group in iter_row_groups(parts, 4)]
@@ -66,21 +68,29 @@ def iter_row_groups(
     """
     if rows_per_group < 1:
         raise ValueError(f"rows_per_group must be at least 1, got {rows_per_group}")
-    buffer: list[np.ndarray] = []
-    buffered = 0
+    pending = None  # a group's first piece, kept as a view until a second arrives
+    group = None  # the group's own buffer, filled piece by piece
+    filled = 0
     for chunk in chunks:
         array = np.asarray(chunk)
         while array.shape[0]:
-            if not buffer and array.shape[0] >= rows_per_group:
+            if not filled and array.shape[0] >= rows_per_group:
                 yield array[:rows_per_group]
                 array = array[rows_per_group:]
                 continue
-            take = min(rows_per_group - buffered, array.shape[0])
-            buffer.append(array[:take])
-            buffered += take
+            take = min(rows_per_group - filled, array.shape[0])
+            if not filled:
+                pending = array[:take]
+            else:
+                if group is None:
+                    group = np.empty((rows_per_group, *pending.shape[1:]), pending.dtype)
+                    group[:filled] = pending
+                    pending = None
+                group[filled : filled + take] = array[:take]
+            filled += take
             array = array[take:]
-            if buffered == rows_per_group:
-                yield buffer[0] if len(buffer) == 1 else np.concatenate(buffer)
-                buffer, buffered = [], 0
-    if buffered:
-        yield buffer[0] if len(buffer) == 1 else np.concatenate(buffer)
+            if filled == rows_per_group:
+                yield group
+                group, filled = None, 0
+    if filled:
+        yield pending if group is None else group[:filled]

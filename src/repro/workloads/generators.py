@@ -32,6 +32,65 @@ __all__ = [
 
 _CHANGE_TIME_MODES = ("uniform", "early", "late", "bursty")
 
+#: Rows per slice in :func:`_smallest_mask`: its partition scratch is at most
+#: ``_SELECT_ROWS * width`` floats, however many rows the block has.
+_SELECT_ROWS = 1024
+
+
+def _smallest_mask(
+    scores: np.ndarray, counts: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Mark each row's ``counts[i]`` smallest scores in a bool ``(n, w)`` mask.
+
+    Rows go in slices of ``_SELECT_ROWS``.  One in-place ``partition`` of a
+    slice's copy moves the ``K + 1`` smallest scores of every row to its
+    front (``K = max(counts)``); sorting that head alone yields row ``i``'s
+    ``counts[i]``-th and ``counts[i] + 1``-th smallest scores, and the row
+    selects every score at or below the first.  That is O(n * w) work plus a
+    ``K``-wide sort, instead of a row ``argsort``'s O(n * w * log w) and an
+    ``n * w`` index scatter.
+
+    Ties: a row whose two order statistics are equal would select more than
+    ``counts[i]`` cells at the threshold (about ``w**2 / 2**54`` per row for
+    ``rng.random`` scores).  Such rows are re-ranked by a stable ``argsort``,
+    so equal scores resolve to the lowest column.  Without ties the selected
+    set is unique, the same as any sort would pick.
+
+    ``out`` receives the mask if given.  The samplers allocate their
+    long-lived output before the float scores, so the short-lived buffers
+    sit above it in the heap and are reused by the next block instead of
+    leaving holes under retained rows.
+
+    >>> _smallest_mask(np.array([[0.5, 0.1, 0.5, 0.2]]), np.array([3])).astype(int)
+    array([[1, 1, 0, 1]])
+    """
+    n, width = scores.shape
+    mask = np.empty((n, width), dtype=bool) if out is None else out
+    if width == 0:
+        return mask
+    scratch = np.empty((min(n, _SELECT_ROWS), width), dtype=scores.dtype)
+    for start in range(0, n, _SELECT_ROWS):
+        block = scores[start : start + _SELECT_ROWS]
+        want = counts[start : start + _SELECT_ROWS]
+        selected = mask[start : start + _SELECT_ROWS]
+        ordered = scratch[: len(block)]
+        np.copyto(ordered, block)
+        top = min(int(want.max()), width - 1)
+        ordered.partition(top, axis=1)
+        head = ordered[:, : top + 1]
+        head.sort(axis=1)
+        rows = np.arange(len(block))
+        below = np.where(want > 0, head[rows, np.maximum(want - 1, 0)], -np.inf)
+        above = np.where(want < width, head[rows, np.minimum(want, top)], np.inf)
+        np.less_equal(block, below[:, np.newaxis], out=selected)
+        tied = np.flatnonzero(below == above)
+        if tied.size:
+            order = block[tied].argsort(axis=1, kind="stable")
+            fixed = np.empty((tied.size, width), dtype=bool)
+            np.put_along_axis(fixed, order, np.arange(width) < want[tied, np.newaxis], axis=1)
+            selected[tied] = fixed
+    return mask
+
 
 class Population:
     """Shared out-of-core sampling surface for every population generator.
@@ -228,20 +287,20 @@ class BoundedChangePopulation(Population):
         Each user toggles at ``budget`` uniformly chosen times; a user starting
         at 1 additionally toggles at t=1.  States are the toggle-count parity.
 
-        A user's toggle set is the ``budget`` smallest scores of its row —
-        computed by scattering the sorted column positions back through one
-        ``argsort`` (bit-identical to the historical double-argsort rank
-        test, at roughly half the transient memory), with the parity taken by
-        an in-type xor accumulation instead of an int64 ``cumsum``.
+        A user's toggle set is the ``budget`` smallest of ``d`` i.i.d. uniform
+        scores in its row, selected by :func:`_smallest_mask`: a row
+        partition and a threshold compare, O(n * d) rather than a row
+        ``argsort``'s O(n * d * log d).  A row tied at its threshold is
+        re-ranked by a stable ``argsort`` (lowest column first), so no user
+        ever exceeds the budget.  The parity is an xor accumulation in place
+        over the toggle mask, returned as an ``int8`` view of it.
         """
+        toggles = np.empty((n, self._d), dtype=bool)  # before the transients
         scores = rng.random((n, self._d))
         scores[starts, 0] = np.inf  # t=1 is reserved for the start toggle
-        order = scores.argsort(axis=1)
-        toggles = np.zeros((n, self._d), dtype=bool)
-        rows = np.arange(n)[:, np.newaxis]
-        toggles[rows, order] = np.arange(self._d)[np.newaxis, :] < budgets[:, np.newaxis]
+        _smallest_mask(scores, budgets, out=toggles)
         toggles[starts, 0] = True
-        return np.logical_xor.accumulate(toggles, axis=1).astype(np.int8)
+        return np.logical_xor.accumulate(toggles, axis=1, out=toggles).view(np.int8)
 
 
 class ItemChangePopulation(Population):
@@ -307,13 +366,7 @@ class ItemChangePopulation(Population):
         segments = self._draw_items(rng, (n, self._k + 1))
         boundaries = self._d - 1
         counts = rng.integers(0, min(self._k, boundaries) + 1, size=n)
-        scores = rng.random((n, boundaries))
-        order = scores.argsort(axis=1)
-        switches = np.zeros((n, boundaries), dtype=bool)
-        rows = np.arange(n)[:, np.newaxis]
-        switches[rows, order] = (
-            np.arange(boundaries)[np.newaxis, :] < counts[:, np.newaxis]
-        )
+        switches = _smallest_mask(rng.random((n, boundaries)), counts)
         segment_index = np.concatenate(
             [
                 np.zeros((n, 1), dtype=np.int64),
@@ -321,7 +374,7 @@ class ItemChangePopulation(Population):
             ],
             axis=1,
         )
-        return segments[rows, segment_index]
+        return segments[np.arange(n)[:, np.newaxis], segment_index]
 
 
 class TrendPopulation(Population):
@@ -370,8 +423,7 @@ class TrendPopulation(Population):
         curve = self.target_curve()
 
         counts = rng.integers(1, self._k + 1, size=n)
-        ranks = rng.random((n, self._d)).argsort(axis=1).argsort(axis=1)
-        opportunity = ranks < counts[:, np.newaxis]
+        opportunity = _smallest_mask(rng.random((n, self._d)), counts)
         # Draw the trend coin at every cell; only opportunity cells matter.
         draws = (rng.random((n, self._d)) < curve[np.newaxis, :]).astype(np.int8)
         values = np.where(opportunity, draws, np.int8(0))
@@ -517,17 +569,15 @@ class ChurnPopulation(Population):
 
         # Toggle at the `counts` smallest-scored *active* cells of each row
         # (inactive cells are pushed past every rank with an infinite score).
+        toggles = np.empty((n, d), dtype=bool)  # before the transients
         scores = rng.random((n, d))
         scores[~active] = np.inf
-        order = scores.argsort(axis=1)
-        toggles = np.zeros((n, d), dtype=bool)
-        rows = np.arange(n)[:, np.newaxis]
-        toggles[rows, order] = columns < counts[:, np.newaxis]
-        states = np.logical_xor.accumulate(toggles, axis=1)
+        _smallest_mask(scores, counts, out=toggles)
+        states = np.logical_xor.accumulate(toggles, axis=1, out=toggles)
         # Departure: an absent user holds 0.  If the parity was 1 at the last
         # active period this zeroing is the user's reserved k-th change.
         states &= active
-        return states.astype(np.int8), active
+        return states.view(np.int8), active
 
     def sample(self, n: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
         """Return the ``(n, d)`` state matrix (activity mask discarded)."""
