@@ -1,7 +1,8 @@
 """Vectorized batch execution of the protocol (numerically faithful fast path).
 
 Runs the same protocol as :func:`repro.core.protocol.run_online` but over the
-whole population at once with numpy kernels:
+whole population at once with numpy kernels (steps 1-3 are
+:func:`randomize_block`, shared by every block driver):
 
 1. sample every user's order ``h_u`` in one draw;
 2. per order group, compute the ``(n_h, d/2^h)`` matrix of partial sums from
@@ -34,6 +35,7 @@ from repro.utils.rng import as_generator
 __all__ = [
     "run_batch",
     "collect_tree_reports",
+    "randomize_block",
     "family_randomizer",
     "group_partial_sums",
     "node_scales",
@@ -41,6 +43,7 @@ __all__ = [
     "partition_rows_by_order",
     "validate_states",
     "BatchTreeReports",
+    "BlockAggregates",
 ]
 
 
@@ -297,6 +300,67 @@ def family_randomizer(
     return functools.partial(family.randomize_matrix, kernel=kernel)
 
 
+@dataclass(frozen=True)
+class BlockAggregates:
+    """One block's report sums and delivered counts per dyadic node.
+
+    Also the block's order group sizes, per-period true counts (int64) and
+    every user's sampled order.
+    """
+
+    node_sums: list[np.ndarray]
+    node_counts: list[np.ndarray]
+    group_sizes: np.ndarray
+    true_counts: np.ndarray
+    orders: np.ndarray
+
+
+def randomize_block(
+    matrix: np.ndarray,
+    rng: np.random.Generator,
+    randomize: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+    probabilities: np.ndarray,
+    *,
+    drop_rate: float = 0.0,
+) -> BlockAggregates:
+    """Run the client side of Algorithm 1 over one validated states block.
+
+    Draw contract, shared by every block driver (:func:`collect_tree_reports`,
+    :class:`~repro.sim.chunked.ChunkedTreeAccumulator`, the service workers):
+    one ``rng.choice`` draws every user's order; then, per non-empty order
+    group in increasing order, one ``randomize`` of the group's partial sums
+    (rows in increasing order), followed with ``drop_rate > 0`` by one
+    ``rng.random`` mask keeping the reports whose draw is ``>= drop_rate``.
+    So a block's output is a fixed function of its generator and states.
+    ``matrix`` is never copied whole (each group gathers its own rows).
+    """
+    rows, d = matrix.shape
+    num_orders = len(probabilities)
+    orders = rng.choice(num_orders, size=rows, p=probabilities)
+    sort_index, group_sizes, boundaries = partition_rows_by_order(orders, num_orders)
+    node_sums = [np.zeros(d >> order, dtype=np.float64) for order in range(num_orders)]
+    node_counts = [np.zeros(d >> order, dtype=np.int64) for order in range(num_orders)]
+    for order in range(num_orders):
+        members = sort_index[boundaries[order] : boundaries[order + 1]]
+        if members.size == 0:
+            continue
+        reports = randomize(group_partial_sums(matrix[members], order), rng)
+        if drop_rate:
+            kept = rng.random(reports.shape) >= drop_rate
+            reports = np.where(kept, reports, 0)
+            node_counts[order] += kept.sum(axis=0)
+        else:
+            node_counts[order] += members.size
+        node_sums[order] += reports.sum(axis=0)
+    return BlockAggregates(
+        node_sums=node_sums,
+        node_counts=node_counts,
+        group_sizes=group_sizes,
+        true_counts=matrix.sum(axis=0, dtype=np.int64),
+        orders=orders,
+    )
+
+
 def collect_tree_reports(
     states: np.ndarray,
     params: ProtocolParams,
@@ -339,38 +403,22 @@ def collect_tree_reports(
             kernel=kernel,
         )
     matrix = validate_states(states, params)
-    n, d = matrix.shape
     rng = as_generator(rng)
     if family is None:
         family = default_family(params)
-
-    num_orders = d.bit_length()
-    probabilities = order_probabilities(d, order_weights)
-    orders = rng.choice(num_orders, size=n, p=probabilities)
-    randomize = family_randomizer(family, kernel)
-
-    node_sums = [np.zeros(d >> order, dtype=np.float64) for order in range(num_orders)]
-    # One stable argsort replaces the per-order flatnonzero scans; group
-    # members (and their order) are identical, so rng consumption — and
-    # therefore every frozen reference — is unchanged.
-    sort_index, group_sizes, boundaries = partition_rows_by_order(orders, num_orders)
-    for order in range(num_orders):
-        members = sort_index[boundaries[order] : boundaries[order + 1]]
-        if members.size == 0:
-            continue
-        partials = group_partial_sums(matrix[members], order)
-        reports = randomize(partials, rng)
-        node_sums[order] = reports.sum(axis=0).astype(np.float64)
-
+    probabilities = order_probabilities(params.d, order_weights)
+    block = randomize_block(
+        matrix, rng, family_randomizer(family, kernel), probabilities
+    )
     return BatchTreeReports(
-        node_sums=node_sums,
-        node_scales=node_scales(d, family.c_gap, order_weights),
-        group_sizes=group_sizes,
+        node_sums=block.node_sums,
+        node_scales=node_scales(params.d, family.c_gap, order_weights),
+        group_sizes=block.group_sizes,
         order_probabilities=probabilities,
         c_gap=family.c_gap,
         family_name=family.name,
-        true_counts=matrix.sum(axis=0).astype(np.float64),
-        orders=orders,
+        true_counts=block.true_counts.astype(np.float64),
+        orders=block.orders,
     )
 
 

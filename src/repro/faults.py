@@ -589,18 +589,25 @@ def _run_supervised_pool(
     deadlines: dict[Future, float] = {}
     pool = ProcessPoolExecutor(max_workers=max_workers)
 
-    def submit(index: int) -> None:
+    def submit(index: int) -> bool:
         injector = (
             schedule.injector(index, states[index].attempts, hard=True)
             if schedule is not None
             else None
         )
+        try:
+            future = pool.submit(_supervised_call, fn, items[index], injector)
+        except BrokenProcessPool:
+            # A worker died after wait() returned another future: requeue
+            # the unit uncharged; in-flight futures surface the break.
+            ready.appendleft(index)
+            return False
         states[index].attempts += 1
         report.attempts += 1
-        future = pool.submit(_supervised_call, fn, items[index], injector)
         in_flight[future] = index
         if policy.timeout_seconds is not None:
             deadlines[future] = time.perf_counter() + policy.timeout_seconds
+        return True
 
     def retry_or_lose(index: int, error: Exception) -> None:
         count_failure(error)
@@ -631,7 +638,11 @@ def _run_supervised_pool(
     try:
         while ready or in_flight:
             while ready and len(in_flight) < max_workers:
-                submit(ready.popleft())
+                if not submit(ready.popleft()):
+                    break
+            if not in_flight:
+                respawn_pool(requeue=False)
+                continue
             timeout = None
             if deadlines:
                 timeout = max(

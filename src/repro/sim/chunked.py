@@ -16,9 +16,8 @@ changes *where* a trial runs, never *what* it computes"):
   twin of :func:`repro.utils.chunking.iter_row_groups`, which the generators
   use; push is what lets the engine feed chunks incrementally);
 * block ``b`` is processed with a generator seeded from the ``b``-th child of
-  the root ``SeedSequence`` (:func:`protocol_block_seeds`), consuming
-  randomness exactly like :func:`repro.core.vectorized.collect_tree_reports`
-  does on that block;
+  the root ``SeedSequence`` (:func:`protocol_block_seeds`), under the draw
+  contract of :func:`repro.core.vectorized.randomize_block`;
 * therefore the accumulated :class:`~repro.core.vectorized.BatchTreeReports`
   is **bit-identical for any chunk size** at a fixed ``block_rows``, and for
   ``n <= block_rows`` (a single block) it is bit-identical to the monolithic
@@ -42,10 +41,9 @@ from repro.core.protocol import ProtocolResult, default_family
 from repro.core.vectorized import (
     BatchTreeReports,
     family_randomizer,
-    group_partial_sums,
     node_scales,
     order_probabilities,
-    partition_rows_by_order,
+    randomize_block,
     validate_states,
 )
 from repro.utils.chunking import DEFAULT_BLOCK_ROWS, plan_row_blocks
@@ -194,14 +192,11 @@ class ChunkedTreeAccumulator:
         self._process_block(block)
 
     def _process_block(self, block: np.ndarray) -> None:
-        """Randomize one block, consuming rng exactly like the monolithic path.
+        """Randomize one block and fold its aggregates into the running totals.
 
-        The draw sequence — one ``choice`` for the orders, then one
-        ``randomize_matrix`` per non-empty order group in increasing order —
-        replicates :func:`~repro.core.vectorized.collect_tree_reports`
-        verbatim, which is what makes the single-block case bit-identical to
-        the monolithic driver (regression-tested).  Drop thinning (when
-        enabled) draws strictly after each group's randomization.
+        The block draws from its own seed child under
+        :func:`~repro.core.vectorized.randomize_block`'s draw contract, drop
+        thinning included.
         """
         start, stop = self._blocks[self._block_index]
         if block.shape[0] != stop - start:
@@ -212,32 +207,15 @@ class ChunkedTreeAccumulator:
         rng = np.random.default_rng(self._children[self._block_index])
         self._block_index += 1
         self._rows_seen += block.shape[0]
-
-        matrix = block if block.dtype == np.int8 else block.astype(np.int8)
-        orders = rng.choice(
-            self._num_orders, size=matrix.shape[0], p=self._probabilities
+        aggregates = randomize_block(
+            block, rng, self._randomize, self._probabilities, drop_rate=self._drop_rate
         )
-        # Same single-argsort partition as collect_tree_reports: identical
-        # group membership and ordering, hence identical rng consumption.
-        sort_index, sizes, boundaries = partition_rows_by_order(
-            orders, self._num_orders
-        )
-        self.group_sizes += sizes
         for order in range(self._num_orders):
-            members = sort_index[boundaries[order] : boundaries[order + 1]]
-            if members.size == 0:
-                continue
-            partials = group_partial_sums(matrix[members], order)
-            reports = self._randomize(partials, rng)
-            if self._drop_rate:
-                kept = rng.random(reports.shape) >= self._drop_rate
-                self.node_sums[order] += np.where(kept, reports, 0).sum(axis=0)
-                self.node_counts[order] += kept.sum(axis=0)
-            else:
-                self.node_sums[order] += reports.sum(axis=0)
-                self.node_counts[order] += members.size
-        self.true_counts += matrix.sum(axis=0)
-        self._order_chunks.append(orders)
+            self.node_sums[order] += aggregates.node_sums[order]
+            self.node_counts[order] += aggregates.node_counts[order]
+        self.group_sizes += aggregates.group_sizes
+        self.true_counts += aggregates.true_counts
+        self._order_chunks.append(aggregates.orders)
 
     def finalize(self) -> BatchTreeReports:
         """Flush the final partial block and assemble the tree reports.

@@ -17,10 +17,10 @@ Pipeline
    :func:`repro.utils.chunking.plan_row_blocks`; each block is sampled and
    randomized by a worker process seeded from its own child of the root
    ``SeedSequence`` (the :mod:`repro.sim.parallel` contract: sharding
-   changes *where* a block runs, never *what* it computes).  A block's
-   per-node report sums replicate the chunked accumulator's draw sequence
-   verbatim, so the service's randomness is block-for-block the
-   out-of-core pipeline's.
+   changes *where* a block runs, never *what* it computes).  Every block
+   follows :func:`repro.core.vectorized.randomize_block`'s draw contract,
+   so the service's randomness is block-for-block the out-of-core
+   pipeline's.
 2. **Schedule** — each block's aggregate messages get delivery times from
    the traffic model, drawn from the *traffic* stream of the seed tree
    (independent of worker count).
@@ -74,10 +74,12 @@ from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolResult, default_family
 from repro.core.server import Server
 from repro.core.vectorized import (
+    BlockAggregates,
     family_randomizer,
-    group_partial_sums,
+    # Unused here; kept bound for tracers that wrap this module's globals.
+    group_partial_sums,  # noqa: F401
     order_probabilities,
-    partition_rows_by_order,
+    randomize_block,
     validate_states,
 )
 from repro.faults import (
@@ -251,9 +253,11 @@ class ServiceResult:
 
 @dataclass(frozen=True)
 class _BlockSpec:
-    """Everything one worker needs to randomize one seed block."""
+    """Everything one worker needs to randomize one seed block.
 
-    block: int
+    The block's id is its position in the planned block list.
+    """
+
     start: int
     stop: int
     params: ProtocolParams
@@ -265,73 +269,38 @@ class _BlockSpec:
     kernel: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class _BlockAggregates:
-    """One block's randomized per-node sums (the worker's return value)."""
+def _block_states(spec: _BlockSpec) -> np.ndarray:
+    """The block's states: its slice of the matrix, or sampled from its seed."""
+    if spec.states is not None:
+        return np.asarray(spec.states)
+    assert spec.population is not None
+    return spec.population.sample(
+        spec.stop - spec.start, np.random.default_rng(spec.workload_child)
+    )
 
-    block: int
-    node_sums: list[np.ndarray]
-    node_counts: list[np.ndarray]
-    true_counts: np.ndarray
-    orders: np.ndarray
 
+def _randomize_service_block(spec: _BlockSpec) -> BlockAggregates:
+    """Sample, validate and randomize one seed block (pool-picklable).
 
-def _randomize_service_block(spec: _BlockSpec) -> _BlockAggregates:
-    """Sample and randomize one seed block (module-level: pool-picklable).
-
-    The draw sequence — one ``choice`` for the orders, then one randomize
-    per non-empty order group ascending — replicates
-    :meth:`repro.sim.chunked.ChunkedTreeAccumulator._process_block`, so the
+    The block draws from its protocol seed child under
+    :func:`~repro.core.vectorized.randomize_block`'s draw contract, so the
     service's per-block aggregates are bit-identical to the out-of-core
     pipeline's for the same block seed.
     """
     params = spec.params
-    d = params.d
-    rows = spec.stop - spec.start
-    if spec.states is not None:
-        matrix = np.asarray(spec.states)
-    else:
-        assert spec.population is not None
-        matrix = spec.population.sample(
-            rows, np.random.default_rng(spec.workload_child)
-        )
-    validate_states(matrix, params, rows=rows)
-    if matrix.dtype != np.int8:
-        matrix = matrix.astype(np.int8)
-
+    matrix = _block_states(spec)
+    validate_states(matrix, params, rows=spec.stop - spec.start)
     family = spec.family if spec.family is not None else default_family(params)
-    randomize = family_randomizer(family, spec.kernel)
-    num_orders = d.bit_length()
-    probabilities = order_probabilities(d, None)
-
-    rng = np.random.default_rng(spec.protocol_child)
-    orders = rng.choice(num_orders, size=rows, p=probabilities)
-    sort_index, _, boundaries = partition_rows_by_order(orders, num_orders)
-    node_sums = [
-        np.zeros(d >> order, dtype=np.float64) for order in range(num_orders)
-    ]
-    node_counts = [
-        np.zeros(d >> order, dtype=np.int64) for order in range(num_orders)
-    ]
-    for order in range(num_orders):
-        members = sort_index[boundaries[order] : boundaries[order + 1]]
-        if members.size == 0:
-            continue
-        partials = group_partial_sums(matrix[members], order)
-        reports = randomize(partials, rng)
-        node_sums[order] += reports.sum(axis=0)
-        node_counts[order] += members.size
-    return _BlockAggregates(
-        block=spec.block,
-        node_sums=node_sums,
-        node_counts=node_counts,
-        true_counts=matrix.sum(axis=0, dtype=np.int64),
-        orders=orders,
+    return randomize_block(
+        matrix,
+        np.random.default_rng(spec.protocol_child),
+        family_randomizer(family, spec.kernel),
+        order_probabilities(params.d, None),
     )
 
 
 def _block_messages(
-    aggregates: _BlockAggregates, d: int
+    aggregates: BlockAggregates, block: int
 ) -> tuple[list[AggregateMessage], np.ndarray]:
     """A block's aggregate messages in canonical order, plus emission times."""
     messages: list[AggregateMessage] = []
@@ -344,7 +313,7 @@ def _block_messages(
             emission = index << order
             messages.append(
                 AggregateMessage(
-                    message_id=(aggregates.block, order, index),
+                    message_id=(block, order, index),
                     order=order,
                     index=index,
                     total=float(sums[position]),
@@ -725,7 +694,6 @@ def _plan_blocks(
             population = workload
         specs.append(
             _BlockSpec(
-                block=index,
                 start=start,
                 stop=stop,
                 params=params,
@@ -742,7 +710,7 @@ def _plan_blocks(
 
 def _describe_block(specs: Sequence[_BlockSpec], index: int) -> str:
     spec = specs[index]
-    return f"service block {spec.block} (users [{spec.start}, {spec.stop}))"
+    return f"service block {index} (users [{spec.start}, {spec.stop}))"
 
 
 def _execute_blocks(
@@ -752,7 +720,7 @@ def _execute_blocks(
     schedule: Optional[FaultSchedule] = None,
     retry: Optional[RetryPolicy] = None,
     on_lost: Optional[Callable[[int, Exception], None]] = None,
-) -> tuple[list[Optional[_BlockAggregates]], Optional[SupervisionReport]]:
+) -> tuple[list[Optional[BlockAggregates]], Optional[SupervisionReport]]:
     """Randomize every block, in block order, at any worker count.
 
     With ``schedule``/``retry`` the work runs under
@@ -787,22 +755,14 @@ def _block_truth(spec: _BlockSpec) -> tuple[np.ndarray, np.ndarray]:
     seed children, so the truth of a block whose *randomization* was
     permanently lost is still exactly known — only its reports are gone.
     """
-    params = spec.params
-    rows = spec.stop - spec.start
-    if spec.states is not None:
-        matrix = np.asarray(spec.states)
-    else:
-        assert spec.population is not None
-        matrix = spec.population.sample(
-            rows, np.random.default_rng(spec.workload_child)
-        )
+    d = spec.params.d
     rng = np.random.default_rng(spec.protocol_child)
     orders = rng.choice(
-        params.d.bit_length(),
-        size=rows,
-        p=order_probabilities(params.d, None),
+        d.bit_length(),
+        size=spec.stop - spec.start,
+        p=order_probabilities(d, None),
     )
-    return matrix.sum(axis=0, dtype=np.int64), orders
+    return _block_states(spec).sum(axis=0, dtype=np.int64), orders
 
 
 def _journal_config(
@@ -1056,12 +1016,12 @@ def run_service(
             continue
         true_counts += aggregates.true_counts
         order_chunks.append(aggregates.orders)
-        messages, emitted = _block_messages(aggregates, d)
+        messages, emitted = _block_messages(aggregates, index)
         schedule = schedule_arrivals(
             emitted,
             d,
             traffic,
-            np.random.default_rng(traffic_children[aggregates.block]),
+            np.random.default_rng(traffic_children[index]),
         )
         total_messages += len(messages)
         delivered_plan += schedule.delivered

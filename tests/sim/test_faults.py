@@ -11,12 +11,15 @@ a simulated clock, never the wallclock.
 from __future__ import annotations
 
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.faults
 from repro.faults import (
     FAULT_KINDS,
     FAULT_MODELS,
@@ -49,6 +52,32 @@ def _stall(item: int) -> int:
 
 def _boom(item: int) -> int:
     raise KeyError(f"application bug on {item}")
+
+
+def _pool_broken_at_third_submit() -> type:
+    """A pool class whose first instance breaks at its third submit.
+
+    It replays the race where a worker dies after ``wait()`` has returned a
+    different, successful future: the next ``submit`` then raises
+    ``BrokenProcessPool`` (and so does every later one on that pool).
+    """
+
+    class PoolBrokenAtSubmit(ProcessPoolExecutor):
+        instances = 0
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            PoolBrokenAtSubmit.instances += 1
+            self._breaks = PoolBrokenAtSubmit.instances == 1
+            self._submits = 0
+
+        def submit(self, *args, **kwargs):
+            self._submits += 1
+            if self._breaks and self._submits >= 3:
+                raise BrokenProcessPool("a worker died before this submit")
+            return super().submit(*args, **kwargs)
+
+    return PoolBrokenAtSubmit
 
 
 class TestFaultModel:
@@ -241,6 +270,20 @@ class TestSupervisedPool:
         assert report.crashes >= 2
         assert report.pool_respawns >= 1
         assert report.lost_units == ()
+
+    def test_a_break_surfacing_at_submit_respawns_the_pool(self, monkeypatch):
+        monkeypatch.setattr(
+            repro.faults, "ProcessPoolExecutor", _pool_broken_at_third_submit()
+        )
+        items = list(range(6))
+        serial, _ = run_supervised(_square, items)
+        results, report = run_supervised(_square, items, workers=2)
+        assert results == serial
+        assert report.lost_units == ()
+        assert report.pool_respawns >= 1
+        # The unit whose submit failed never ran, so it was not charged.
+        assert report.attempts == len(items)
+        assert report.retries == 0
 
     def test_pool_matches_serial_results_under_chaos(self):
         items = list(range(8))
