@@ -30,6 +30,7 @@ from typing import Callable
 
 from repro.analysis.bounds import central_tree_error_bound, hoeffding_radius
 from repro.core.params import ProtocolParams
+from repro.utils.validation import check_rate
 
 __all__ = [
     "RADIUS_BY_PROTOCOL",
@@ -315,11 +316,7 @@ def fault_adjusted_radius(
     drop rate would trivially "win" by breaking the delivery assumption
     rather than by finding a hard population.
     """
-    if not 0.0 <= drop_rate < 1.0:
-        raise ValueError(f"drop_rate must be in [0, 1), got {drop_rate}")
-    if not 0.0 <= duplicate_rate < 1.0:
-        raise ValueError(
-            f"duplicate_rate must be in [0, 1), got {duplicate_rate}"
-        )
+    check_rate(drop_rate, "drop_rate")
+    check_rate(duplicate_rate, "duplicate_rate")
     rate = drop_rate + duplicate_rate
     return bound * (1.0 + rate) + rate * params.n

@@ -22,7 +22,6 @@ from repro.core.interfaces import RandomizerFamily
 from repro.core.params import ProtocolParams
 from repro.core.server import Server
 from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.validation import check_power_of_two
 
 __all__ = ["ProtocolResult", "ItemDomainResult", "run_online", "default_family"]
 
@@ -120,22 +119,11 @@ def run_online(
     ProtocolResult
         Online estimates ``a_hat[1..d]`` alongside the ground truth.
     """
-    matrix = np.asarray(states)
-    if matrix.ndim != 2:
-        raise ValueError(f"states must be 2-D (n, d), got shape {matrix.shape}")
+    # Imported here: repro.core.vectorized imports this module.
+    from repro.core.vectorized import validate_states
+
+    matrix = validate_states(states, params)
     n, d = matrix.shape
-    if (n, d) != (params.n, params.d):
-        raise ValueError(
-            f"states shape {matrix.shape} disagrees with params (n={params.n}, d={params.d})"
-        )
-    check_power_of_two(d, "d")
-    if not np.isin(matrix, (0, 1)).all():
-        raise ValueError("states entries must all be 0 or 1")
-    changes = np.count_nonzero(np.diff(matrix, axis=1, prepend=0), axis=1)
-    if (changes > params.k).any():
-        raise ValueError(
-            f"a user changes {int(changes.max())} times, exceeding k={params.k}"
-        )
 
     rng = as_generator(rng)
     if family is None:

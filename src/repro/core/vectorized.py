@@ -168,7 +168,7 @@ def validate_states(
 
     Checks shape, 0/1 entries, and the per-user change budget ``k`` (counting
     the implicit ``st_u[0] = 0`` boundary); returns the matrix as an array.
-    Shared by the batch drivers.
+    Shared by the batch and per-user object drivers.
 
     ``rows`` overrides the expected row count (the chunked pipeline validates
     per-chunk slices of a conceptual ``(params.n, d)`` population).  The scan

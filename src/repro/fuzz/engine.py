@@ -44,7 +44,7 @@ from repro.fuzz.genome import (
     mutate,
     random_genome,
 )
-from repro.protocols.registry import PROTOCOLS, get_protocol
+from repro.protocols.registry import PROTOCOLS, get_protocol, unsupported_option
 from repro.sim.batch_engine import run_batch_engine
 from repro.sim.parallel import ShardTask, encode_runner, execute_shards
 
@@ -218,9 +218,11 @@ def build_runner(
         return PROTOCOLS[target]
     protocol = get_protocol(target)
     if kernel is not None:
-        if not protocol.supports_kernel:
+        lacking, capable = unsupported_option({target: protocol}, "kernel")
+        if lacking:
             raise ValueError(
-                f"protocol {target!r} does not support kernel selection"
+                f"protocol {target!r} does not support kernel; protocols "
+                f"that do: {', '.join(capable)}"
             )
         return functools.partial(protocol.run, kernel=kernel)
     return protocol

@@ -11,7 +11,7 @@ runner specifications (names, protocol instances, plain callables) through
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from repro.protocols.adapters import (
     BunComposedProtocol,
@@ -35,6 +35,7 @@ __all__ = [
     "get_protocol",
     "list_protocols",
     "resolve_runner",
+    "unsupported_option",
     "ProtocolLike",
 ]
 
@@ -103,6 +104,33 @@ def list_protocols(
             continue
         names.append(name)
     return names
+
+
+def unsupported_option(
+    runners: Mapping[str, object], option: str
+) -> tuple[list[str], list[str]]:
+    """Find the runners that cannot take the execution option ``option``.
+
+    Support is advertised by a truthy ``supports_<option>`` attribute (the
+    protocol flags checked by lint rule REP107, or a function attribute as on
+    ``run_batch_engine``); a runner without it does not support the option.
+    Returns ``(lacking, capable)``: the sorted names in ``runners`` that lack
+    support (empty when all have it) and the sorted registry names that have
+    it, for the error message.
+
+    >>> unsupported_option({"erlingsson": PROTOCOLS["erlingsson"]}, "kernel")[0]
+    ['erlingsson']
+    >>> "future_rand" in unsupported_option({}, "chunk_size")[1]
+    True
+    """
+    flag = f"supports_{option}"
+    lacking = sorted(
+        name for name, runner in runners.items() if not getattr(runner, flag, False)
+    )
+    capable = sorted(
+        name for name, protocol in PROTOCOLS.items() if getattr(protocol, flag)
+    )
+    return lacking, capable
 
 
 #: Retired pre-registry extension classes and the registry entry that

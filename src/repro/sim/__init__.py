@@ -23,7 +23,10 @@ Both engines expose the identical ``run(states, callback)`` contract —
 per-period :class:`StepSnapshot` callbacks, report-drop fault injection,
 online server clock semantics — and produce statistically indistinguishable
 estimates (the randomizer kernels are shared; the integration tests verify
-the equivalence).
+the equivalence).  Both validate ``states`` the same way, with
+:func:`repro.core.vectorized.validate_states` (shape, 0/1 entries, at most
+``k`` changes per user), so a bad population is rejected before any
+randomness is drawn.
 
 * Use :class:`SimulationEngine` (object engine) to exercise the
   deployment-shaped API: real ``Client`` state machines, per-report

@@ -43,7 +43,7 @@ from repro.core.vectorized import (
 )
 from repro.sim.chunked import ChunkedTreeAccumulator, _iter_chunks
 from repro.sim.engine import OnlineEngineBase, StepSnapshot
-from repro.utils.validation import ensure_positive
+from repro.utils.validation import check_rate, ensure_positive
 
 __all__ = ["BatchSimulationEngine", "run_batch_engine"]
 
@@ -92,12 +92,9 @@ class BatchSimulationEngine(OnlineEngineBase):
         super().__init__(
             params, family=family, rng=rng, report_drop_rate=report_drop_rate
         )
-        if not 0.0 <= report_duplicate_rate < 1.0:
-            raise ValueError(
-                f"report_duplicate_rate must be in [0, 1), got "
-                f"{report_duplicate_rate}"
-            )
-        self._duplicate_rate = float(report_duplicate_rate)
+        self._duplicate_rate = check_rate(
+            report_duplicate_rate, "report_duplicate_rate"
+        )
         if chunk_size is not None:
             ensure_positive(chunk_size, "chunk_size")
         if self._duplicate_rate and chunk_size is not None:

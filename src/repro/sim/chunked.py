@@ -48,6 +48,7 @@ from repro.core.vectorized import (
 )
 from repro.utils.chunking import DEFAULT_BLOCK_ROWS, plan_row_blocks
 from repro.utils.rng import SeedLike, as_seed_sequence
+from repro.utils.validation import check_rate
 from repro.workloads.generators import Population
 
 __all__ = [
@@ -120,11 +121,7 @@ class ChunkedTreeAccumulator:
         self._params = params
         self._family = family if family is not None else default_family(params)
         self._randomize = family_randomizer(self._family, kernel)
-        if not 0.0 <= report_drop_rate < 1.0:
-            raise ValueError(
-                f"report_drop_rate must be in [0, 1), got {report_drop_rate}"
-            )
-        self._drop_rate = float(report_drop_rate)
+        self._drop_rate = check_rate(report_drop_rate, "report_drop_rate")
         d = params.d
         self._num_orders = d.bit_length()
         self._order_weights = order_weights

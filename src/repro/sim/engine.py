@@ -19,7 +19,9 @@ from repro.core.interfaces import RandomizerFamily
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolResult, default_family
 from repro.core.server import Server
+from repro.core.vectorized import validate_states
 from repro.utils.rng import as_generator, spawn_generators
+from repro.utils.validation import check_rate
 
 __all__ = ["OnlineEngineBase", "SimulationEngine", "StepSnapshot"]
 
@@ -60,11 +62,7 @@ class OnlineEngineBase:
         self._params = params
         self._family = family if family is not None else default_family(params)
         self._rng = as_generator(rng)
-        if not 0.0 <= report_drop_rate < 1.0:
-            raise ValueError(
-                f"report_drop_rate must be in [0, 1), got {report_drop_rate}"
-            )
-        self._drop_rate = float(report_drop_rate)
+        self._drop_rate = check_rate(report_drop_rate, "report_drop_rate")
 
     @property
     def family(self) -> RandomizerFamily:
@@ -97,12 +95,7 @@ class SimulationEngine(OnlineEngineBase):
         become biased towards zero proportionally, quantifying the protocol's
         sensitivity to missing reports.
         """
-        matrix = np.asarray(states)
-        if matrix.shape != (self._params.n, self._params.d):
-            raise ValueError(
-                f"states shape {matrix.shape} disagrees with params "
-                f"(n={self._params.n}, d={self._params.d})"
-            )
+        matrix = validate_states(states, self._params)
         n, d = matrix.shape
         client_rngs = spawn_generators(self._rng, n)
         clients = [

@@ -37,7 +37,11 @@ import numpy as np
 
 from repro.core.params import ProtocolParams
 from repro.core.protocol import ProtocolResult
-from repro.protocols.registry import ProtocolLike, resolve_runner
+from repro.protocols.registry import (
+    ProtocolLike,
+    resolve_runner,
+    unsupported_option,
+)
 from repro.sim.batch_engine import run_batch_engine
 from repro.sim.parallel import (
     ShardTask,
@@ -147,12 +151,11 @@ def _apply_execution_options(
     """Bind ``chunk_size``/``kernel`` onto an option-aware runner (or reject).
 
     Support is advertised with ``supports_chunk_size`` / ``supports_kernel``
-    attributes (set on :func:`~repro.sim.batch_engine.run_batch_engine` and
-    the hierarchical protocol adapters); for protocol instances the bound
-    ``run`` method is wrapped, keeping the partial picklable for the
-    multiprocess path (stateless registry singletons pickle by reference).
-    Both options are validated against the *unwrapped* runner before a
-    single partial is built, so they compose.
+    attributes (see :func:`~repro.protocols.registry.unsupported_option`);
+    for protocol instances the bound ``run`` method is wrapped, keeping the
+    partial picklable for the multiprocess path (stateless registry
+    singletons pickle by reference).  Both options are validated against the
+    *unwrapped* runner before a single partial is built, so they compose.
     """
     kwargs: dict[str, object] = {}
     if chunk_size is not None:
@@ -167,34 +170,19 @@ def _apply_execution_options(
                 "report_duplicate_rate requires the monolithic engine path "
                 "and cannot be combined with chunk_size; drop one of the two"
             )
-        if not getattr(runner, "supports_chunk_size", False):
-            from repro.protocols.registry import PROTOCOLS
-
-            chunk_aware = sorted(
-                key for key, protocol in PROTOCOLS.items()
-                if protocol.supports_chunk_size
-            )
-            raise ValueError(
-                f"protocol {name!r} does not support chunk_size; chunk-aware "
-                f"protocols: {', '.join(chunk_aware)}"
-            )
         kwargs["chunk_size"] = chunk_size
     if kernel is not None:
         from repro.kernels import resolve_kernel
 
         resolve_kernel(kernel)  # unknown kernels fail here, not mid-sweep
-        if not getattr(runner, "supports_kernel", False):
-            from repro.protocols.registry import PROTOCOLS
-
-            kernel_aware = sorted(
-                key for key, protocol in PROTOCOLS.items()
-                if protocol.supports_kernel
-            )
-            raise ValueError(
-                f"protocol {name!r} does not support kernel selection; "
-                f"kernel-aware protocols: {', '.join(kernel_aware)}"
-            )
         kwargs["kernel"] = kernel
+    for option in kwargs:
+        lacking, capable = unsupported_option({name: runner}, option)
+        if lacking:
+            raise ValueError(
+                f"protocol {name!r} does not support {option}; protocols "
+                f"that do: {', '.join(capable)}"
+            )
     if not kwargs:
         return runner
     target = runner.run if hasattr(runner, "run") else runner

@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "check_power_of_two",
     "check_probability",
+    "check_rate",
     "check_privacy_budget",
     "check_sign_vector",
     "check_sparse_signs",
@@ -100,6 +101,17 @@ def check_probability(value: float, name: str) -> float:
     if not 0.0 < value < 1.0:
         raise ValueError(f"{name} must be in (0, 1), got {value}")
     return value
+
+
+def check_rate(value: float, name: str) -> float:
+    """Return ``value`` as a float if it lies in the half-open interval [0, 1).
+
+    The range of every fault rate (drops, duplicates, stragglers): zero is
+    fault-free, one would lose or repeat everything.
+    """
+    if not 0.0 <= value < 1.0:
+        raise ValueError(f"{name} must be in [0, 1), got {value}")
+    return float(value)
 
 
 def check_privacy_budget(epsilon: float, *, require_at_most_one: bool = False) -> float:

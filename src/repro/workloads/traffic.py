@@ -30,6 +30,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.utils.validation import check_rate
+
 __all__ = [
     "TRAFFIC_MODELS",
     "ArrivalSchedule",
@@ -86,9 +88,7 @@ class TrafficModel:
                 f"burst_factor must be at least 1, got {self.burst_factor}"
             )
         for rate_name in ("late_rate", "duplicate_rate", "drop_rate"):
-            rate = getattr(self, rate_name)
-            if not 0.0 <= rate < 1.0:
-                raise ValueError(f"{rate_name} must be in [0, 1), got {rate}")
+            check_rate(getattr(self, rate_name), rate_name)
         if self.max_lateness < 1:
             raise ValueError(
                 f"max_lateness must be at least 1, got {self.max_lateness}"

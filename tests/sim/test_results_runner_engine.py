@@ -283,3 +283,31 @@ class TestSimulationEngine:
         engine = SimulationEngine(params, rng=rng)
         with pytest.raises(ValueError):
             engine.run(np.zeros((10, 4), dtype=np.int8))
+
+    def test_over_budget_states_raise_on_every_seed(self):
+        """Like ``BatchSimulationEngine`` and ``run_online``, reject a user
+        over the change budget up front, whatever order the user draws."""
+        params = ProtocolParams(n=4, d=16, k=1, epsilon=1.0)
+        states = np.zeros((4, 16), dtype=np.int8)
+        states[0, :8] = [1, 0] * 4  # 8 changes, counting the start at 0
+        for seed in range(10):
+            engine = SimulationEngine(params, rng=np.random.default_rng(seed))
+            with pytest.raises(ValueError, match="a user changes 8 times, exceeding k=1"):
+                engine.run(states)
+
+    def test_bit_identical_to_run_online_and_the_object_session(self):
+        from repro.core.protocol import run_online
+        from repro.protocols import get_protocol
+        from repro.workloads.generators import BoundedChangePopulation
+
+        params = ProtocolParams(n=300, d=16, k=3, epsilon=1.0)
+        states = BoundedChangePopulation(16, 3).sample(300, np.random.default_rng(0))
+        engine = SimulationEngine(params, rng=np.random.default_rng(11)).run(states)
+        online = run_online(states, params, np.random.default_rng(11))
+        session = get_protocol("future_rand_object").prepare(
+            params, np.random.default_rng(11)
+        )
+        for t in range(1, params.d + 1):
+            session.ingest(t, states[:, t - 1])
+        np.testing.assert_array_equal(engine.estimates, online.estimates)
+        np.testing.assert_array_equal(engine.estimates, session.result().estimates)

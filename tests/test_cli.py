@@ -235,6 +235,26 @@ class TestErrorPaths:
             assert excinfo.value.code == 2
             assert "must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("command", "message"),
+        [
+            (["simulate", "--n", "0", "--d", "8"], "n must be positive, got 0"),
+            (["run-protocol", "erlingsson", "--d", "12"],
+             "d must be a power of two, got 12"),
+            (["sweep", "--parameter", "k", "--values", "2", "--k", "0"],
+             "k must be positive, got 0"),
+            (["fuzz", "--n", "0"], "n must be positive, got 0"),
+            (["serve-sim", "--d", "12"], "d must be a power of two, got 12"),
+        ],
+    )
+    def test_bad_protocol_parameters_exit_2_with_readable_message(
+        self, capsys, command, message
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_sweep_chunk_size_with_non_chunkable_protocol(self, capsys):
         code = main(
             ["sweep", "--protocols", "erlingsson", "--parameter", "k",
